@@ -53,6 +53,11 @@ const (
 	DestGameServer
 	// DestPeer delivers to the peer Matrix server named by Envelope.Peer.
 	DestPeer
+	// DestClient delivers to the game client named by Envelope.Client. The
+	// Matrix server never emits it: it carries the co-located game server's
+	// client deliveries, so one envelope slice holds a node's whole output
+	// (see internal/node).
+	DestClient
 )
 
 // String implements fmt.Stringer.
@@ -64,6 +69,8 @@ func (d Dest) String() string {
 		return "game-server"
 	case DestPeer:
 		return "peer"
+	case DestClient:
+		return "client"
 	default:
 		return fmt.Sprintf("dest(%d)", uint8(d))
 	}
@@ -71,10 +78,11 @@ func (d Dest) String() string {
 
 // Envelope is one message a handler wants delivered.
 type Envelope struct {
-	Dest Dest
-	Peer id.ServerID // set when Dest == DestPeer
-	Addr string      // dialable address of Peer, when known
-	Msg  protocol.Message
+	Dest   Dest
+	Peer   id.ServerID // set when Dest == DestPeer
+	Addr   string      // dialable address of Peer, when known
+	Client id.ClientID // set when Dest == DestClient
+	Msg    protocol.Message
 }
 
 // peerInfo is what a Matrix server knows about a peer: where to dial it and
@@ -244,7 +252,7 @@ func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope
 	}
 	switch msg := m.(type) {
 	case *protocol.GameUpdate:
-		return s.HandleGameUpdate(msg)
+		return s.AppendGameUpdate(nil, msg)
 	case *protocol.Forward:
 		return s.handlePeerForward(msg)
 	case *protocol.LoadReport:
@@ -267,14 +275,6 @@ func (s *Server) HandleMessage(from id.ServerID, m protocol.Message) ([]Envelope
 	default:
 		return nil, fmt.Errorf("core: unexpected message %v", m.MsgType())
 	}
-}
-
-// HandleGameUpdate routes one spatially-tagged packet from the local game
-// server to every peer in its consistency set, returning the envelopes in
-// a fresh slice. Hot loops should use AppendGameUpdate with a reused
-// buffer.
-func (s *Server) HandleGameUpdate(u *protocol.GameUpdate) ([]Envelope, error) {
-	return s.AppendGameUpdate(nil, u)
 }
 
 // AppendGameUpdate routes one spatially-tagged packet from the local game

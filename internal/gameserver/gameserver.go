@@ -325,14 +325,6 @@ func (s *Server) Enqueue(m protocol.Message) error {
 	return nil
 }
 
-// Process consumes up to budget queued messages (all of them when budget
-// <= 0) and returns the resulting envelopes in a fresh slice. Hot loops
-// that tick every few milliseconds should use ProcessAppend with a reused
-// buffer instead.
-func (s *Server) Process(budget int) ([]Envelope, error) {
-	return s.ProcessAppend(nil, budget)
-}
-
 // ProcessAppend consumes up to budget queued messages (all of them when
 // budget <= 0), appending the resulting envelopes to dst, and returns the
 // extended slice. The budget models the server's finite service rate:

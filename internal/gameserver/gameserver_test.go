@@ -33,7 +33,7 @@ func join(t *testing.T, s *Server, c id.ClientID, pos geom.Point) {
 	if err := s.Enqueue(&protocol.ClientHello{Client: c, Pos: pos}); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLocalUpdateForwardedToMatrixAndEchoed(t *testing.T) {
 	if err := s.Enqueue(u); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMoveUpdatesPosition(t *testing.T) {
 	if err := s.Enqueue(u); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Process(0); err != nil {
+	if _, err := s.ProcessAppend(nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if pos, _ := s.ClientPos(1); pos != geom.Pt(30, 40) {
@@ -150,7 +150,7 @@ func TestDespawnRemovesClient(t *testing.T) {
 	if err := s.Enqueue(u); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Process(0); err != nil {
+	if _, err := s.ProcessAppend(nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ClientCount(); got != 0 {
@@ -169,7 +169,7 @@ func TestPeerUpdateDeliveredNotForwarded(t *testing.T) {
 	if err := s.Enqueue(u); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestQueueBudgetAndOverflow(t *testing.T) {
 		t.Errorf("QueueLen = %d", got)
 	}
 	// Budgeted processing drains partially.
-	if _, err := s.Process(2); err != nil {
+	if _, err := s.ProcessAppend(nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.QueueLen(); got != 1 {
@@ -254,7 +254,7 @@ func TestRangeShrinkRedirectsAndTransfers(t *testing.T) {
 	if err := s.Enqueue(ru); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestRangeGrowKeepsClients(t *testing.T) {
 	if err := s.Enqueue(ru); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestStateTransferAdoption(t *testing.T) {
 	if err := s.Enqueue(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Process(0); err != nil {
+	if _, err := s.ProcessAppend(nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ClientCount(); got != 1 {
@@ -376,7 +376,7 @@ func TestStateTransferAdoption(t *testing.T) {
 	if err := s.Enqueue(u); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := s.Process(0)
+	envs, err := s.ProcessAppend(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestUnexpectedMessageType(t *testing.T) {
 	if err := s.Enqueue(&protocol.Ack{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Process(0); err == nil {
+	if _, err := s.ProcessAppend(nil, 0); err == nil {
 		t.Error("unexpected message must surface an error")
 	}
 }
@@ -417,7 +417,7 @@ func TestRangeShrinkNoTargetKeepsClient(t *testing.T) {
 	if err := s.Enqueue(ru); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Process(0); err != nil {
+	if _, err := s.ProcessAppend(nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ClientCount(); got != 1 {
@@ -426,8 +426,8 @@ func TestRangeShrinkNoTargetKeepsClient(t *testing.T) {
 }
 
 // TestProcessAppendMatchesProcess drives two identically configured
-// servers through the same traffic, one with the allocating API and one
-// with the append API: the envelopes must be identical.
+// servers through the same traffic, one appending into a fresh nil buffer
+// and one into a reused buffer: the envelopes must be identical.
 func TestProcessAppendMatchesProcess(t *testing.T) {
 	mk := func() *Server { return newTestGS(t, Config{}) }
 	a, b := mk(), mk()
@@ -448,7 +448,7 @@ func TestProcessAppendMatchesProcess(t *testing.T) {
 	}
 	feed(a)
 	feed(b)
-	got, errA := a.Process(0)
+	got, errA := a.ProcessAppend(nil, 0)
 	buf := make([]Envelope, 0, 4)
 	want, errB := b.ProcessAppend(buf[:0], 0)
 	if (errA == nil) != (errB == nil) {

@@ -15,7 +15,7 @@ import (
 	"matrix/internal/load"
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
-	"matrix/internal/policy"
+	"matrix/internal/node"
 	"matrix/internal/protocol"
 	"matrix/internal/scratch"
 	"matrix/internal/snapshot"
@@ -109,8 +109,7 @@ func (c ServerConfig) sanitized() ServerConfig {
 // real transports.
 type ServerHost struct {
 	cfg    ServerConfig
-	core   *core.Server
-	gs     *gameserver.Server
+	node   *node.Node
 	mcConn transport.Conn
 	ln     transport.Listener
 
@@ -141,12 +140,11 @@ type ServerHost struct {
 	ingress      []ingressMsg
 	ingressSpare []ingressMsg
 
-	// tickLoop-owned scratch (no locking): the per-tick envelope buffers
-	// and the per-peer message batches flushed as one frame per peer per
-	// tick. Map entries and their slices are reused across ticks.
-	tickEnvs     scratch.Buf[gameserver.Envelope]
-	tickCoreEnvs scratch.Buf[core.Envelope]
-	tickBatch    map[string][]protocol.Message
+	// tickLoop-owned scratch (no locking): the node's envelope buffer and
+	// the per-peer message batches flushed as one frame per peer per tick.
+	// Map entries and their slices are reused across ticks.
+	tickEnvs  scratch.Buf[core.Envelope]
+	tickBatch map[string][]protocol.Message
 
 	// Health state. adoptBuf/ticks/cpTick are tick-goroutine owned (Adopt
 	// frames and the checkpoint ticker both run there).
@@ -203,35 +201,18 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		return nil, fmt.Errorf("host: unexpected registration reply %v", first.MsgType())
 	}
 
-	pol, err := policy.New(cfg.Policy)
+	n, err := node.New(reply, node.Config{Radius: cfg.Radius, Load: cfg.Load, Policy: cfg.Policy, MaxQueue: cfg.MaxQueue})
 	if err != nil {
 		_ = ln.Close()
 		_ = mcConn.Close()
 		return nil, err
 	}
-	cs, err := core.NewServer(core.Config{Load: cfg.Load, Policy: pol}, reply, cfg.Radius)
-	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
-		return nil, err
-	}
-	gs, err := gameserver.New(gameserver.Config{
-		Server:       reply.Server,
-		Bounds:       reply.Bounds,
-		Radius:       cfg.Radius,
-		MaxQueue:     cfg.MaxQueue,
-		ResolveOwner: cs.ResolveOwner,
-	})
-	if err != nil {
-		_ = ln.Close()
-		_ = mcConn.Close()
-		return nil, err
-	}
+	n.Tracer, n.TracePid = cfg.Tracer, hostTracePid
 
 	// Boot-time restore runs before any pump starts: no client can have
 	// joined yet, so the adopted world can never wipe a live session.
 	if cfg.Restore != nil {
-		if err := snapshot.RestoreNodeGame(cfg.Restore, gs); err != nil {
+		if err := snapshot.RestoreNodeGame(cfg.Restore, n.Game); err != nil {
 			_ = ln.Close()
 			_ = mcConn.Close()
 			return nil, fmt.Errorf("host: restore snapshot: %w", err)
@@ -240,8 +221,7 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 
 	h := &ServerHost{
 		cfg:        cfg,
-		core:       cs,
-		gs:         gs,
+		node:       n,
 		mcConn:     mcConn,
 		ln:         ln,
 		mw:         mw,
@@ -258,7 +238,7 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 		done:       make(chan struct{}),
 	}
 	if h.tr != nil {
-		h.tr.NameProcess(hostTracePid, cs.ID().String())
+		h.tr.NameProcess(hostTracePid, n.Core.ID().String())
 		h.tr.NameThread(hostTracePid, hostTraceTidTick, "tick")
 		h.tr.NameThread(hostTracePid, hostTraceTidNet, "net")
 	}
@@ -266,26 +246,26 @@ func StartServer(cfg ServerConfig) (*ServerHost, error) {
 	go h.mcLoop()
 	go h.acceptLoop()
 	go h.tickLoop()
-	cfg.Logger.Printf("server %v up at %s (bounds %v)", cs.ID(), ln.Addr(), cs.Bounds())
+	cfg.Logger.Printf("server %v up at %s (bounds %v)", n.Core.ID(), ln.Addr(), n.Core.Bounds())
 	return h, nil
 }
 
 // ID returns the Matrix server's identity.
-func (h *ServerHost) ID() id.ServerID { return h.core.ID() }
+func (h *ServerHost) ID() id.ServerID { return h.node.Core.ID() }
 
 // Addr returns the listener address.
 func (h *ServerHost) Addr() string { return h.ln.Addr() }
 
 // Core exposes the Matrix server (status tooling).
-func (h *ServerHost) Core() *core.Server { return h.core }
+func (h *ServerHost) Core() *core.Server { return h.node.Core }
 
 // Game exposes the game server (status tooling).
-func (h *ServerHost) Game() *gameserver.Server { return h.gs }
+func (h *ServerHost) Game() *gameserver.Server { return h.node.Game }
 
 // Snapshot dumps this node's complete state (Matrix server + game server)
 // as a versioned blob — the payload of a protocol SnapshotData stream.
 func (h *ServerHost) Snapshot() ([]byte, error) {
-	return snapshot.MarshalNode(h.core, h.gs)
+	return snapshot.MarshalNode(h.node.Core, h.node.Game)
 }
 
 // snapshotChunkSize keeps each SnapshotData frame comfortably under the
@@ -319,7 +299,7 @@ func sendSnapshotChunks(conn transport.Conn, blob []byte) error {
 // world wholesale, dropping the avatar of any client that joined since
 // the blob was captured (it stays connected and must rejoin).
 func (h *ServerHost) RestoreSnapshot(blob []byte) error {
-	return snapshot.RestoreNodeGame(blob, h.gs)
+	return snapshot.RestoreNodeGame(blob, h.node.Game)
 }
 
 // Close stops the host and waits for its goroutines.
@@ -371,7 +351,7 @@ func (h *ServerHost) ServeMetrics(addr string) (string, io.Closer, error) {
 // only while tracing) are reset after rendering so their raw-sample store
 // is bounded by the scrape interval, not the process lifetime.
 func (h *ServerHost) writeMetrics(w io.Writer) {
-	rep := h.gs.LoadReport()
+	rep := h.node.Game.LoadReport()
 	fmt.Fprintf(w, "# TYPE matrix_server_clients gauge\nmatrix_server_clients %d\n", rep.Clients)
 	fmt.Fprintf(w, "# TYPE matrix_server_queue_len gauge\nmatrix_server_queue_len %d\n", rep.QueueLen)
 	h.mu.Lock()
@@ -427,7 +407,7 @@ func (h *ServerHost) enqueueIngress(from id.ServerID, m protocol.Message) {
 	h.ingressMu.Lock()
 	if len(h.ingress) >= maxIngress {
 		h.ingressMu.Unlock()
-		h.cfg.Logger.Printf("server %v: ingress overflow, dropping %v", h.core.ID(), m.MsgType())
+		h.cfg.Logger.Printf("server %v: ingress overflow, dropping %v", h.node.Core.ID(), m.MsgType())
 		return
 	}
 	h.ingress = append(h.ingress, ingressMsg{from: from, msg: m})
@@ -469,9 +449,9 @@ func (h *ServerHost) drainIngress(batch map[string][]protocol.Message) {
 		if h.tr != nil {
 			h.tracePeerHandle(im.msg)
 		}
-		envs, err := h.core.HandleMessage(im.from, im.msg)
+		envs, err := h.node.Core.HandleMessage(im.from, im.msg)
 		if err != nil {
-			h.cfg.Logger.Printf("server %v: message %v: %v", h.core.ID(), im.msg.MsgType(), err)
+			h.cfg.Logger.Printf("server %v: message %v: %v", h.node.Core.ID(), im.msg.MsgType(), err)
 		}
 		h.routeCore(envs, batch)
 	}
@@ -508,11 +488,11 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		h.serveClient(conn, m)
 	case *protocol.SnapshotRequest:
 		// Operator dump: stream this node's full state and close.
-		blob, err := snapshot.MarshalNode(h.core, h.gs)
+		blob, err := snapshot.MarshalNode(h.node.Core, h.node.Game)
 		if err != nil {
-			h.cfg.Logger.Printf("server %v: snapshot: %v", h.core.ID(), err)
+			h.cfg.Logger.Printf("server %v: snapshot: %v", h.node.Core.ID(), err)
 		} else if err := sendSnapshotChunks(conn, blob); err != nil {
-			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.core.ID(), err)
+			h.cfg.Logger.Printf("server %v: snapshot send: %v", h.node.Core.ID(), err)
 		}
 		_ = conn.Close()
 	case *protocol.Forward, *protocol.StateTransfer:
@@ -529,7 +509,7 @@ func (h *ServerHost) serveConn(conn transport.Conn) {
 		delete(h.inbound, conn)
 		h.mu.Unlock()
 	default:
-		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.core.ID(), m.MsgType())
+		h.cfg.Logger.Printf("server %v: unexpected first message %v", h.node.Core.ID(), m.MsgType())
 		_ = conn.Close()
 	}
 }
@@ -546,10 +526,10 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 			Client:   hello.Client,
 			Msg:      hello,
 			Now:      h.clockSeconds(),
-			QueueLen: h.gs.QueueLen(),
+			QueueLen: h.node.Game.QueueLen(),
 		}
 		if v := h.mw.Handle(&req); !v.Admitted() {
-			h.cfg.Logger.Printf("server %v: client %v hello rejected: %v", h.core.ID(), hello.Client, v)
+			h.cfg.Logger.Printf("server %v: client %v hello rejected: %v", h.node.Core.ID(), hello.Client, v)
 			_ = conn.Send(&protocol.ErrorMsg{Of: protocol.TypeClientHello, Reason: "middleware: " + v.String()})
 			_ = conn.Close()
 			return
@@ -568,8 +548,8 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 	h.clients[hello.Client] = conn
 	h.mu.Unlock()
 
-	if err := h.gs.Enqueue(hello); err != nil {
-		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.core.ID(), hello.Client, err)
+	if err := h.node.Game.Enqueue(hello); err != nil {
+		h.cfg.Logger.Printf("server %v: join %v dropped: %v", h.node.Core.ID(), hello.Client, err)
 	}
 	for {
 		m, err := conn.Recv()
@@ -580,7 +560,7 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 		if h.mw != nil {
 			req.Msg = m
 			req.Now = h.clockSeconds()
-			req.QueueLen = h.gs.QueueLen()
+			req.QueueLen = h.node.Game.QueueLen()
 			if !h.mw.Handle(&req).Admitted() {
 				continue // judged and counted; the frame is simply not delivered
 			}
@@ -588,8 +568,8 @@ func (h *ServerHost) serveClient(conn transport.Conn, hello *protocol.ClientHell
 		if h.tr != nil {
 			h.tracePacketIn(m)
 		}
-		if err := h.gs.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
-			h.cfg.Logger.Printf("server %v: client %v: %v", h.core.ID(), hello.Client, err)
+		if err := h.node.Game.Enqueue(m); err != nil && err != gameserver.ErrQueueOverflow {
+			h.cfg.Logger.Printf("server %v: client %v: %v", h.node.Core.ID(), hello.Client, err)
 		}
 	}
 }
@@ -613,7 +593,7 @@ func (h *ServerHost) servePeer(conn transport.Conn, first protocol.Message) {
 				Peer:     from,
 				Msg:      m,
 				Now:      h.clockSeconds(),
-				QueueLen: h.gs.QueueLen(),
+				QueueLen: h.node.Game.QueueLen(),
 			}
 			if !h.mw.Handle(&req).Admitted() {
 				return
@@ -660,15 +640,15 @@ func (h *ServerHost) tickLoop() {
 			if h.beatsPaused.Load() {
 				continue
 			}
-			rep := h.gs.LoadReport()
+			rep := h.node.Game.LoadReport()
 			hb := &protocol.Heartbeat{
-				Server:         h.core.ID(),
+				Server:         h.node.Core.ID(),
 				Clients:        rep.Clients,
 				QueueLen:       rep.QueueLen,
 				CheckpointTick: h.cpTick.Load(),
 			}
 			if err := h.mcConn.Send(hb); err != nil {
-				h.cfg.Logger.Printf("server %v: heartbeat: %v", h.core.ID(), err)
+				h.cfg.Logger.Printf("server %v: heartbeat: %v", h.node.Core.ID(), err)
 			}
 		case <-cpC:
 			h.shipCheckpoint()
@@ -677,102 +657,69 @@ func (h *ServerHost) tickLoop() {
 			t0 := h.tr.Now()
 			// Coordinator and peer fallout first: split/reclaim state
 			// transfers join this tick's batch, ahead of whatever redirects
-			// the game server emits below (routeGame flushes the batch
-			// before any redirect reaches a client).
+			// the node emits below (routeCore flushes the batch before any
+			// redirect reaches a client).
 			h.drainIngress(h.tickBatch)
 			t1 := h.tr.Now()
-			envs, err := h.gs.ProcessAppend(h.tickEnvs.Take(), h.cfg.ServiceRate)
-			if err != nil {
-				h.cfg.Logger.Printf("server %v: process: %v", h.core.ID(), err)
+			envs, f := h.node.Step(h.tickEnvs.Take(), h.cfg.ServiceRate)
+			if f.Game != nil {
+				h.cfg.Logger.Printf("server %v: process: %v", h.node.Core.ID(), f.Game)
+			}
+			if f.Core > 0 {
+				h.cfg.Logger.Printf("server %v: game->matrix: %d message(s) rejected, first: %v", h.node.Core.ID(), f.Core, f.CoreErr)
 			}
 			t2 := h.tr.Now()
 			// Everything this tick produced for the same peer leaves as one
 			// batch frame — the per-message framing and write amortized
 			// across the tick.
-			h.routeGame(envs, h.tickBatch)
+			h.routeCore(envs, h.tickBatch)
 			h.flushBatches(h.tickBatch)
 			h.tickEnvs.Done(envs)
 			if h.tr != nil {
 				h.traceTick(t0, t1, t2, h.tr.Now())
 			}
 		case <-report.C:
-			rep := h.gs.LoadReport()
-			envs, err := h.core.HandleLocalLoad(int(rep.Clients), int(rep.QueueLen))
+			envs, err := h.node.Report(h.tickEnvs.Take())
 			if err != nil {
-				h.cfg.Logger.Printf("server %v: load report: %v", h.core.ID(), err)
-				continue
+				h.cfg.Logger.Printf("server %v: load report: %v", h.node.Core.ID(), err)
 			}
-			h.routeCore(envs, nil)
+			h.routeCore(envs, h.tickBatch)
+			h.flushBatches(h.tickBatch)
+			h.tickEnvs.Done(envs)
 		}
 	}
 }
 
-// routeCore delivers a Matrix server's envelopes. When batch is non-nil,
-// peer-bound messages are collected into it (keyed by dial address) for a
-// later flushBatches instead of being sent immediately; coordinator and
-// game-server deliveries are never deferred.
+// routeCore delivers a node's envelopes. Peer-bound messages are collected
+// into batch (keyed by dial address) for a later flushBatches; coordinator,
+// game-server and client deliveries are never deferred.
 func (h *ServerHost) routeCore(envs []core.Envelope, batch map[string][]protocol.Message) {
 	for _, e := range envs {
 		switch e.Dest {
 		case core.DestCoordinator:
 			if err := h.mcConn.Send(e.Msg); err != nil {
-				h.cfg.Logger.Printf("server %v: mc send: %v", h.core.ID(), err)
+				h.cfg.Logger.Printf("server %v: mc send: %v", h.node.Core.ID(), err)
 			}
 		case core.DestGameServer:
-			if err := h.gs.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
-				h.cfg.Logger.Printf("server %v: enqueue: %v", h.core.ID(), err)
+			if err := h.node.Game.Enqueue(e.Msg); err != nil && err != gameserver.ErrQueueOverflow {
+				h.cfg.Logger.Printf("server %v: enqueue: %v", h.node.Core.ID(), err)
 			}
 		case core.DestPeer:
 			if h.tr != nil {
 				h.tracePeerForward(e.Msg)
 			}
-			if batch != nil {
-				if e.Addr == "" {
-					h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), e.Msg.MsgType())
-					continue
-				}
-				batch[e.Addr] = append(batch[e.Addr], e.Msg)
+			if e.Addr == "" {
+				h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.node.Core.ID(), e.Msg.MsgType())
 				continue
 			}
-			h.sendPeer(e.Addr, e.Msg)
-		}
-	}
-}
-
-// routeGame delivers a game server's envelopes, collecting peer-bound
-// fallout into batch (see routeCore).
-func (h *ServerHost) routeGame(envs []gameserver.Envelope, batch map[string][]protocol.Message) {
-	for _, e := range envs {
-		switch e.Dest {
-		case gameserver.DestMatrix:
-			// Game updates — the dominant message — route through a
-			// tickLoop-owned reused buffer; routeCore consumes it fully
-			// (enqueue/collect, never re-entering this core) before the
-			// next envelope.
-			var out []core.Envelope
-			var err error
-			reused := false
-			if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate {
-				out, err = h.core.AppendGameUpdate(h.tickCoreEnvs.Take(), u)
-				reused = true
-			} else {
-				out, err = h.core.HandleMessage(id.None, e.Msg)
-			}
-			if err != nil {
-				h.cfg.Logger.Printf("server %v: game->matrix: %v", h.core.ID(), err)
-			} else {
-				h.routeCore(out, batch)
-			}
-			if reused {
-				h.tickCoreEnvs.Done(out)
-			}
-		case gameserver.DestClient:
+			batch[e.Addr] = append(batch[e.Addr], e.Msg)
+		case core.DestClient:
 			// Migration ordering: a redirected client's state transfer is
 			// sitting in the peer batch (the game server emits state before
 			// the redirect). Flush before the redirect reaches the client
 			// so the state frame precedes the client's rejoin on the wire.
 			// Redirects are rare, so the early flush barely dents batching.
-			if _, isRedirect := e.Msg.(*protocol.Redirect); isRedirect && batch != nil {
+			if _, isRedirect := e.Msg.(*protocol.Redirect); isRedirect {
 				h.flushBatches(batch)
 			}
 			h.mu.Lock()
@@ -809,17 +756,6 @@ func (h *ServerHost) flushBatches(batch map[string][]protocol.Message) {
 	}
 }
 
-// sendPeer sends one message to a peer Matrix server. (A one-message
-// batch frames identically to a plain send, so this shares the batch
-// path.)
-func (h *ServerHost) sendPeer(addr string, m protocol.Message) {
-	if addr == "" {
-		h.cfg.Logger.Printf("server %v: no address for peer (dropping %v)", h.core.ID(), m.MsgType())
-		return
-	}
-	h.sendPeerMsgs(addr, m)
-}
-
 // maxDialBacklog bounds the frames queued behind an in-flight peer dial.
 const maxDialBacklog = 4096
 
@@ -840,7 +776,7 @@ func (h *ServerHost) sendPeerMsgs(addr string, msgs ...protocol.Message) {
 		pending, inFlight := h.dialing[addr]
 		if len(pending)+len(msgs) > maxDialBacklog {
 			h.mu.Unlock()
-			h.cfg.Logger.Printf("server %v: dial backlog to peer %s full, dropping %d message(s)", h.core.ID(), addr, len(msgs))
+			h.cfg.Logger.Printf("server %v: dial backlog to peer %s full, dropping %d message(s)", h.node.Core.ID(), addr, len(msgs))
 			return
 		}
 		// Copied, not aliased: the caller reuses its batch slices.
@@ -866,7 +802,7 @@ func (h *ServerHost) dialPeer(addr string) {
 		n := len(h.dialing[addr])
 		delete(h.dialing, addr)
 		h.mu.Unlock()
-		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.core.ID(), addr, err, n)
+		h.cfg.Logger.Printf("server %v: dial peer %s: %v (dropped %d queued message(s))", h.node.Core.ID(), addr, err, n)
 		return
 	}
 	for {
@@ -934,19 +870,19 @@ func (h *ServerHost) sendPeerConn(addr string, conn transport.Conn, msgs []proto
 		// healthy, and batch encoding is all-or-nothing, so salvage the
 		// tick by sending individually — only the offending message is
 		// lost, matching the old per-message path's isolation.
-		h.cfg.Logger.Printf("server %v: batch to peer %s: %v; retrying individually", h.core.ID(), addr, err)
+		h.cfg.Logger.Printf("server %v: batch to peer %s: %v; retrying individually", h.node.Core.ID(), addr, err)
 		for _, m := range msgs {
 			if err = conn.Send(m); err != nil {
 				if errors.Is(err, transport.ErrClosed) {
 					break
 				}
-				h.cfg.Logger.Printf("server %v: dropping %v to peer %s: %v", h.core.ID(), m.MsgType(), addr, err)
+				h.cfg.Logger.Printf("server %v: dropping %v to peer %s: %v", h.node.Core.ID(), m.MsgType(), addr, err)
 				err = nil
 			}
 		}
 	}
 	if errors.Is(err, transport.ErrClosed) {
-		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.core.ID(), addr, err)
+		h.cfg.Logger.Printf("server %v: peer %s connection lost: %v", h.node.Core.ID(), addr, err)
 		h.mu.Lock()
 		if h.peers[addr] == conn {
 			delete(h.peers, addr)
@@ -969,31 +905,31 @@ func (h *ServerHost) handleAdopt(m *protocol.Adopt) {
 	h.adoptBuf = nil
 	if len(blob) == 0 {
 		h.cfg.Logger.Printf("server %v: cold-adopting %v's region %v (no checkpoint: world starts empty)",
-			h.core.ID(), m.Victim, m.Bounds)
+			h.node.Core.ID(), m.Victim, m.Bounds)
 		return
 	}
-	if err := snapshot.RestoreNodeGame(blob, h.gs); err != nil {
-		h.cfg.Logger.Printf("server %v: adopt restore of %v's checkpoint: %v", h.core.ID(), m.Victim, err)
+	if err := snapshot.RestoreNodeGame(blob, h.node.Game); err != nil {
+		h.cfg.Logger.Printf("server %v: adopt restore of %v's checkpoint: %v", h.node.Core.ID(), m.Victim, err)
 		return
 	}
 	h.cfg.Logger.Printf("server %v: adopted %v's region %v from checkpoint (%d bytes)",
-		h.core.ID(), m.Victim, m.Bounds, len(blob))
+		h.node.Core.ID(), m.Victim, m.Bounds, len(blob))
 }
 
 // shipCheckpoint streams this node's full state to the MC as SnapshotData
 // chunks — the blob a warm spare restores if this node dies. Spares ship
 // nothing: they own no world. Runs on the tick goroutine.
 func (h *ServerHost) shipCheckpoint() {
-	if !h.core.Active() {
+	if !h.node.Core.Active() {
 		return
 	}
-	blob, err := snapshot.MarshalNode(h.core, h.gs)
+	blob, err := snapshot.MarshalNode(h.node.Core, h.node.Game)
 	if err != nil {
-		h.cfg.Logger.Printf("server %v: checkpoint marshal: %v", h.core.ID(), err)
+		h.cfg.Logger.Printf("server %v: checkpoint marshal: %v", h.node.Core.ID(), err)
 		return
 	}
 	if err := sendSnapshotChunks(h.mcConn, blob); err != nil {
-		h.cfg.Logger.Printf("server %v: checkpoint ship: %v", h.core.ID(), err)
+		h.cfg.Logger.Printf("server %v: checkpoint ship: %v", h.node.Core.ID(), err)
 		return
 	}
 	h.cpTick.Store(h.ticks.Load())
@@ -1047,7 +983,7 @@ func (h *ServerHost) drainWatch() {
 			}
 			if settled >= 3 {
 				h.drainOnce.Do(func() { close(h.drained) })
-				h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.core.ID(), h.drainExit.Load())
+				h.cfg.Logger.Printf("server %v: drained (exit=%v)", h.node.Core.ID(), h.drainExit.Load())
 				return
 			}
 		}
@@ -1056,7 +992,7 @@ func (h *ServerHost) drainWatch() {
 
 // evacuated reports whether this node holds no world responsibility.
 func (h *ServerHost) evacuated() bool {
-	if h.core.Active() || h.gs.ClientCount() != 0 {
+	if h.node.Core.Active() || h.node.Game.ClientCount() != 0 {
 		return false
 	}
 	h.mu.Lock()
@@ -1070,7 +1006,7 @@ func (h *ServerHost) evacuated() bool {
 // good — the caller should Close it once Drain returns — otherwise it
 // re-joins the MC's spare pool and keeps serving.
 func (h *ServerHost) Drain(exit bool, timeout time.Duration) error {
-	if err := h.mcConn.Send(&protocol.DrainRequest{Server: h.core.ID(), Exit: exit}); err != nil {
+	if err := h.mcConn.Send(&protocol.DrainRequest{Server: h.node.Core.ID(), Exit: exit}); err != nil {
 		return fmt.Errorf("host: drain request: %w", err)
 	}
 	deadline := time.NewTimer(timeout)

@@ -11,7 +11,6 @@ import (
 	"matrix/internal/coordinator"
 	"matrix/internal/core"
 	"matrix/internal/gameclient"
-	"matrix/internal/gameserver"
 	"matrix/internal/geom"
 	"matrix/internal/id"
 	"matrix/internal/load"
@@ -197,7 +196,7 @@ func TestPeerDialBacklogFlushedInOrder(t *testing.T) {
 
 // TestStateBeforeRedirectWireOrder pins the S2 regression: peer-bound
 // fallout routed on the tick goroutine is deferred into the tick batch (not
-// sent from other goroutines), and routeGame flushes that batch before any
+// sent from other goroutines), and routeCore flushes that batch before any
 // redirect reaches a client — the migrating state is committed to the peer
 // connection ahead of the client's rejoin.
 func TestStateBeforeRedirectWireOrder(t *testing.T) {
@@ -276,8 +275,8 @@ func TestStateBeforeRedirectWireOrder(t *testing.T) {
 	default:
 	}
 
-	h.routeGame([]gameserver.Envelope{{
-		Dest:   gameserver.DestClient,
+	h.routeCore([]core.Envelope{{
+		Dest:   core.DestClient,
 		Client: 42,
 		Msg:    &protocol.Redirect{Client: 42, NewOwner: 99, NewAddr: "peer:x"},
 	}}, batch)

@@ -14,6 +14,7 @@ import (
 	"errors"
 
 	"matrix/internal/id"
+	"matrix/internal/node"
 	"matrix/internal/protocol"
 )
 
@@ -35,15 +36,9 @@ var hostPhaseHistograms = []string{
 	"tick/total-ms",
 }
 
-// hostPacketID correlates one client packet across the host's layers: the
-// client id in the high bits, the packet sequence in the low 24 — the same
-// scheme the simulator uses, so tooling reads both the same way.
-func hostPacketID(c id.ClientID, seq id.PacketSeq) uint64 {
-	return uint64(c)<<24 | uint64(seq)&0xFFFFFF
-}
-
 // traceTick closes the tick's phase slices and feeds the phase histograms.
-// t0..t3 bracket drainIngress, ProcessAppend, and routeGame+flushBatches.
+// t0..t3 bracket drainIngress, the node Step (game server and Matrix
+// server), and routeCore+flushBatches.
 // Called from the tick goroutine only, and only while tracing.
 func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 	h.tr.Slice(hostTracePid, hostTraceTidTick, "drain-ingress", t0, t1-t0)
@@ -61,14 +56,14 @@ func (h *ServerHost) traceTick(t0, t1, t2, t3 int64) {
 // goroutine; the tracer is lock-free, so this is safe alongside the tick.
 func (h *ServerHost) tracePacketIn(m protocol.Message) {
 	if u, ok := m.(*protocol.GameUpdate); ok {
-		h.tr.AsyncBegin(hostTracePid, "packet", "packet", hostPacketID(u.Client, u.Seq), h.tr.Now())
+		h.tr.AsyncBegin(hostTracePid, "packet", "packet", node.PacketSpanID(u.Client, u.Seq), h.tr.Now())
 	}
 }
 
 // tracePeerForward marks a packet leaving for a peer Matrix server.
 func (h *ServerHost) tracePeerForward(m protocol.Message) {
 	if f, ok := m.(*protocol.Forward); ok {
-		h.tr.AsyncStep(hostTracePid, "packet", "peer-forward", hostPacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
+		h.tr.AsyncStep(hostTracePid, "packet", "peer-forward", node.PacketSpanID(f.Update.Client, f.Update.Seq), h.tr.Now())
 	}
 }
 
@@ -76,7 +71,7 @@ func (h *ServerHost) tracePeerForward(m protocol.Message) {
 // the ingress funnel.
 func (h *ServerHost) tracePeerHandle(m protocol.Message) {
 	if f, ok := m.(*protocol.Forward); ok {
-		h.tr.AsyncStep(hostTracePid, "packet", "peer-handle", hostPacketID(f.Update.Client, f.Update.Seq), h.tr.Now())
+		h.tr.AsyncStep(hostTracePid, "packet", "peer-handle", node.PacketSpanID(f.Update.Client, f.Update.Seq), h.tr.Now())
 	}
 }
 
@@ -84,7 +79,7 @@ func (h *ServerHost) tracePeerHandle(m protocol.Message) {
 // back to it (the delivery the sim's latency measure uses too).
 func (h *ServerHost) tracePacketOut(c id.ClientID, m protocol.Message) {
 	if u, ok := m.(*protocol.GameUpdate); ok && u.Client == c {
-		h.tr.AsyncEnd(hostTracePid, "packet", "packet", hostPacketID(u.Client, u.Seq), h.tr.Now())
+		h.tr.AsyncEnd(hostTracePid, "packet", "packet", node.PacketSpanID(u.Client, u.Seq), h.tr.Now())
 	}
 }
 

@@ -238,21 +238,6 @@ func (t *Tracker) ForgetChild(child id.ServerID) {
 	delete(t.reclaimVerdicts, child)
 }
 
-// Overloaded reports whether this server is at or over the split threshold.
-func (t *Tracker) Overloaded() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clients >= t.cfg.OverloadClients
-}
-
-// Underloaded reports whether this server is below the underload threshold
-// (making it a candidate for being reclaimed by its parent).
-func (t *Tracker) Underloaded() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clients < t.cfg.UnderloadClients
-}
-
 // ShouldSplit asks the policy whether the server should request a split
 // now, given the latest load report and the split history. The verdict
 // (with the inputs the policy read) is cached for the decision audit.

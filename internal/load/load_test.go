@@ -96,8 +96,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestOverloadedUnderloaded pins the two client-count thresholds through
+// the decisions that read them: a fresh server asks to split from
+// OverloadClients up, and an idle parent may reclaim a child (once the
+// dwell is served) only while the child is below UnderloadClients.
 func TestOverloadedUnderloaded(t *testing.T) {
-	tr, _ := newTestTracker(DefaultConfig())
+	cfg := DefaultConfig()
 	tests := []struct {
 		clients             int
 		overload, underload bool
@@ -110,12 +114,19 @@ func TestOverloadedUnderloaded(t *testing.T) {
 		{600, true, false},
 	}
 	for _, tt := range tests {
+		tr, _ := newTestTracker(cfg)
 		tr.SetLoad(tt.clients, 0)
-		if got := tr.Overloaded(); got != tt.overload {
-			t.Errorf("clients=%d Overloaded=%v want %v", tt.clients, got, tt.overload)
+		if got := tr.ShouldSplit(); got != tt.overload {
+			t.Errorf("clients=%d ShouldSplit=%v want %v", tt.clients, got, tt.overload)
 		}
-		if got := tr.Underloaded(); got != tt.underload {
-			t.Errorf("clients=%d Underloaded=%v want %v", tt.clients, got, tt.underload)
+
+		parent, clk := newTestTracker(cfg)
+		parent.SetChildLoad(2, tt.clients, 0)
+		clk.Advance(cfg.ReclaimDwell)
+		parent.SetLoad(0, 0)
+		if got := parent.ReclaimCandidate(2); got != tt.underload {
+			t.Errorf("child clients=%d ReclaimCandidate=%v want %v (%s)",
+				tt.clients, got, tt.underload, parent.ReclaimVerdict(2).Reason)
 		}
 	}
 }

@@ -17,10 +17,15 @@
 // The chain is allocation-free in steady state: it is composed once at
 // construction, the Request is caller-owned and reused across frames, and
 // every stage keeps its hot state in pre-resolved atomic counters or
-// per-client buckets — never behind a map lookup that allocates. The same
-// chain judges frames deterministically inside the simulation (the caller
-// supplies the virtual clock through Request.Now), so admission decisions
-// fold into Result.Fingerprint byte-for-byte.
+// per-client buckets — never behind a map lookup that allocates.
+//
+// The simulator does not run a Chain. Its admission stage (sim.admitIngress)
+// reuses two pieces of this package directly: the RateLimiter token buckets,
+// advanced on virtual time, and the Sheddable classification that Admission
+// also uses. The rate and shed rules are therefore the same code on both
+// paths, so the sim's admission decisions fold into Result.Fingerprint
+// byte-for-byte. Auth, audit and the chain's composition and counters are
+// live-host only.
 package middleware
 
 import (

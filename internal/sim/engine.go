@@ -5,12 +5,12 @@
 //
 // The tick is split into two phases:
 //
-//   - Phase A (parallel): every live server drains its own inbox and hands
-//     its own game updates and load report to its co-located Matrix
-//     server. This work reads and writes only that server's state (the
-//     game server, its spatial grid, and the co-located core — including
-//     the ResolveOwner binding between the two) and emits envelopes into a
-//     per-server output slot. No shared state is touched: no coordinator,
+//   - Phase A (parallel): every live server's node (internal/node) drains
+//     its own inbox and hands its own game updates and load report to its
+//     co-located Matrix server. This work reads and writes only that
+//     server's state (the game server, its spatial grid, and the co-located
+//     core — including the ResolveOwner binding between the two) and emits
+//     envelopes into a per-server output slot. No shared state is touched: no coordinator,
 //     no netem model, no RNG, no clients, no metrics registry.
 //
 //   - Phase B (serial): the buffered fallout is merged in canonical server
@@ -33,65 +33,38 @@ import (
 	"sync/atomic"
 
 	"matrix/internal/core"
-	"matrix/internal/gameserver"
-	"matrix/internal/id"
-	"matrix/internal/netem"
-	"matrix/internal/protocol"
+	"matrix/internal/node"
 	"matrix/internal/scratch"
 )
 
-// actionKind tags one buffered phase-B routing action.
-type actionKind uint8
-
-const (
-	// actCore routes a batch of Matrix-server envelopes
-	// (serverOut.coreEnvs[lo:hi]) through routeCoreEnvelopes.
-	actCore actionKind = iota + 1
-	// actClient delivers one message to a client (netem-judged first).
-	actClient
-)
-
-// tickAction is one phase-B routing action. Actions preserve the exact
-// emission order of the serial path: a game update's Matrix fallout routes
-// before the next envelope's client delivery, just as the inline loop did.
-type tickAction struct {
-	kind   actionKind
-	client id.ClientID // actClient: destination client
-	msg    protocol.Message
-	lo, hi int // actCore: slice bounds into serverOut.coreEnvs
-}
-
-// serverOut is one server's buffered phase-A fallout, reused across ticks.
-// Only the worker that claimed the server writes it during phase A; phase B
-// consumes it on the stepping goroutine.
+// serverOut is one server's buffered phase-A fallout, reused across ticks:
+// every envelope its node emitted, in emission order. Only the worker that
+// claimed the server writes it during phase A; phase B consumes it on the
+// stepping goroutine.
 type serverOut struct {
-	actions  []tickAction
-	coreEnvs []core.Envelope
+	envs     []core.Envelope
 	gsErrs   int64 // gs processing errors, merged into errors/gs
 	coreErrs int64 // core handling errors, merged into errors/core
 
-	actBuf scratch.Buf[tickAction]
-	envBuf scratch.Buf[core.Envelope]
+	buf scratch.Buf[core.Envelope]
 }
 
 // reset readies the slot for a new phase A.
 func (o *serverOut) reset() {
-	o.actions = o.actBuf.Take()
-	o.coreEnvs = o.envBuf.Take()
+	o.envs = o.buf.Take()
 	o.gsErrs, o.coreErrs = 0, 0
 }
 
-// release returns the consumed buffers for reuse, clearing message
-// pointers so a burst tick's envelopes are not pinned until the next one.
+// release returns the consumed buffer for reuse, clearing message pointers
+// so a burst tick's envelopes are not pinned until the next one.
 func (o *serverOut) release() {
-	o.actBuf.Done(o.actions)
-	o.envBuf.Done(o.coreEnvs)
-	o.actions, o.coreEnvs = nil, nil
+	o.buf.Done(o.envs)
+	o.envs = nil
 }
 
-// ensureEngine sizes the per-server output slots and per-worker buffers.
-// Cheap when already sized; called once per Step so a restored sim (which
-// skips Start) and a mid-run SetSimWorkers both work.
+// ensureEngine sizes the per-server output slots and returns the worker
+// count. Cheap when already sized; called once per Step so a restored sim
+// (which skips Start) and a mid-run SetSimWorkers both work.
 func (s *Sim) ensureEngine() int {
 	w := s.cfg.SimWorkers
 	if w < 1 {
@@ -100,7 +73,6 @@ func (s *Sim) ensureEngine() int {
 	if n := len(s.order); len(s.outs) < n {
 		s.outs = append(s.outs, make([]serverOut, n-len(s.outs))...)
 	}
-	s.gsBufs.Grow(w)
 	return w
 }
 
@@ -150,93 +122,33 @@ func (s *Sim) runPhaseA(workers int, f func(w, idx int)) {
 	wg.Wait()
 }
 
-// processNode is phase A of the queue-processing step for one server:
-// drain up to the service budget from the inbox and hand the fallout to
-// the co-located Matrix server, buffering every outbound envelope. Reads
-// and writes only this server's state; the gs envelope buffer belongs to
-// the claiming worker (each worker processes its servers sequentially).
-func (s *Sim) processNode(w, idx int) {
-	n := s.nodes[s.order[idx]]
+// processNode is phase A of the queue-processing step for one server: its
+// node drains up to the service budget and hands the fallout to the
+// co-located Matrix server, buffering every outbound envelope. Reads and
+// writes only this server's state.
+func (s *Sim) processNode(_, idx int) {
 	out := &s.outs[idx]
 	out.reset()
-
-	var envs []gameserver.Envelope
-	var err error
-	if s.compatAlloc {
-		envs, err = n.gs.Process(s.cfg.ServiceRatePerTick)
-	} else {
-		gsBuf := s.gsBufs.Worker(w)
-		envs, err = n.gs.ProcessAppend(gsBuf.Take(), s.cfg.ServiceRatePerTick)
-		defer gsBuf.Done(envs)
-	}
-	if err != nil {
+	var f node.Faults
+	out.envs, f = s.nodes[s.order[idx]].Step(out.envs, s.cfg.ServiceRatePerTick)
+	if f.Game != nil {
 		out.gsErrs++
 	}
-	for _, e := range envs {
-		switch e.Dest {
-		case gameserver.DestMatrix:
-			if s.tr != nil {
-				// The packet reached the co-located Matrix server's handler:
-				// the core-handle step in its span. Safe in phase A — the
-				// tracer is lock-free and feeds nothing back into the tick.
-				if u, isUpdate := e.Msg.(*protocol.GameUpdate); isUpdate {
-					s.tr.AsyncStep(tracePidServer(s.order[idx]), "packet", "core-handle",
-						packetSpanID(u.Client, u.Seq), s.tr.Now())
-				}
-			}
-			out.appendCore(s, n, e.Msg)
-		case gameserver.DestClient:
-			out.actions = append(out.actions, tickAction{kind: actClient, client: e.Client, msg: e.Msg})
-		}
-	}
+	// Inactive servers legitimately reject packets in flight across a
+	// topology change; Step counts them and routes nothing for them.
+	out.coreErrs += int64(f.Core)
 }
 
-// appendCore hands one message from the game server to its co-located
-// Matrix server and buffers the emitted envelopes as one phase-B action.
-func (o *serverOut) appendCore(s *Sim, n *node, m protocol.Message) {
-	lo := len(o.coreEnvs)
-	var err error
-	if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && !s.compatAlloc {
-		o.coreEnvs, err = n.core.AppendGameUpdate(o.coreEnvs, u)
-	} else {
-		var envs []core.Envelope
-		envs, err = n.core.HandleMessage(id.None, m)
-		o.coreEnvs = append(o.coreEnvs, envs...)
-	}
-	if err != nil {
-		// Inactive servers legitimately reject packets in flight across a
-		// topology change; count the error, route nothing — exactly what
-		// the serial path did.
-		o.coreEnvs = o.coreEnvs[:lo]
-		o.coreErrs++
-		return
-	}
-	if hi := len(o.coreEnvs); hi > lo {
-		o.actions = append(o.actions, tickAction{kind: actCore, lo: lo, hi: hi})
-	}
-}
-
-// loadReportNode is phase A of the load-report step for one server: build
-// the report from the game server and run the core's split/reclaim policy
-// on it, buffering the MC traffic it emits. Reads and writes only this
-// server's state (the policy clock is read-only during a tick).
+// loadReportNode is phase A of the load-report step for one server: its
+// node runs the core's split/reclaim policy on the game server's load,
+// buffering the MC traffic it emits. Reads and writes only this server's
+// state (the policy clock is read-only during a tick).
 func (s *Sim) loadReportNode(idx int) {
-	n := s.nodes[s.order[idx]]
 	out := &s.outs[idx]
 	out.reset()
-	if !n.core.Active() {
-		return
-	}
-	rep := n.gs.LoadReport()
-	envs, err := n.core.HandleLocalLoad(int(rep.Clients), int(rep.QueueLen))
-	if err != nil {
+	var err error
+	if out.envs, err = s.nodes[s.order[idx]].Report(out.envs); err != nil {
 		out.coreErrs++
-		return
-	}
-	lo := len(out.coreEnvs)
-	out.coreEnvs = append(out.coreEnvs, envs...)
-	if hi := len(out.coreEnvs); hi > lo {
-		out.actions = append(out.actions, tickAction{kind: actCore, lo: lo, hi: hi})
 	}
 }
 
@@ -256,17 +168,7 @@ func (s *Sim) routePhaseB() {
 		if out.coreErrs > 0 {
 			s.reg.Counter("errors/core").Add(out.coreErrs)
 		}
-		for _, a := range out.actions {
-			switch a.kind {
-			case actCore:
-				s.routeCoreEnvelopes(sid, out.coreEnvs[a.lo:a.hi])
-			case actClient:
-				if s.nm != nil && s.impair(netem.ServerEndpoint(sid), netem.ClientEndpoint(a.client), netemToClient, a.msg) {
-					continue
-				}
-				s.deliverToClient(a.client, a.msg)
-			}
-		}
+		s.routeCoreEnvelopes(sid, out.envs)
 		out.release()
 	}
 }

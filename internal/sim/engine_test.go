@@ -189,33 +189,6 @@ func TestSimWorkersMidRunRebound(t *testing.T) {
 	}
 }
 
-// TestSimWorkersCompatAllocPath drives the legacy allocating APIs through
-// the worker pool: the compat path must stay byte-identical to both its
-// serial self and the batched path, workers or not.
-func TestSimWorkersCompatAllocPath(t *testing.T) {
-	cfg := stepTestConfig(11)
-	run := func(compat bool, workers int) string {
-		c := cfg
-		c.SimWorkers = workers
-		s := mustNew(t, c)
-		s.compatAlloc = compat
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Fingerprint()
-	}
-	want := run(false, 1)
-	for _, tc := range []struct {
-		compat  bool
-		workers int
-	}{{true, 1}, {true, 8}, {false, 8}} {
-		if got := run(tc.compat, tc.workers); got != want {
-			t.Errorf("compat=%v workers=%d diverges from batched serial", tc.compat, tc.workers)
-		}
-	}
-}
-
 // BenchmarkTickEngine measures one simulation's wall clock serial vs
 // pooled (the docs/PERF.md intra-sim table comes from this on a multi-core
 // box: go test -bench TickEngine -benchtime 3x matrix/internal/sim).

@@ -172,30 +172,15 @@ func TestNetemCrashFreezesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestNetemCompatAllocPathIdentical pins that the buffer-reusing fast path
-// and the legacy allocating path stay byte-identical under impairment too
-// (delayed messages must not alias reused buffers).
+// TestNetemCompatAllocPathIdentical pins that the buffer-reusing path stays
+// byte-identical to the former allocating path under impairment too:
+// delayed messages must not alias reused buffers. The allocating path's
+// fingerprint for this (seed, netem config) pair is pinned as a sha256.
 func TestNetemCompatAllocPathIdentical(t *testing.T) {
+	const allocatingPath = "434cde8627c7242d4be601dd73fe7bb65015d5e2dd8637c447485851a661a825"
 	cfg := netemBaseConfig(5)
 	cfg.Netem = netem.Config{Link: netem.LinkConfig{Loss: 0.03, JitterMs: 250}}
-	fast, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastRes, err := fast.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.compatAlloc = true
-	slowRes, err := slow.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastRes.Fingerprint() != slowRes.Fingerprint() {
-		t.Fatal("append path and legacy path diverged under netem")
+	if got := fingerprintSum(runNetem(t, cfg)); got != allocatingPath {
+		t.Fatalf("append path diverged from the allocating path under netem: sha256 %s, want %s", got, allocatingPath)
 	}
 }

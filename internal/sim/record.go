@@ -14,6 +14,7 @@ import (
 
 	"matrix/internal/flight"
 	"matrix/internal/id"
+	"matrix/internal/node"
 	"matrix/internal/protocol"
 )
 
@@ -34,11 +35,11 @@ func (s *Sim) recordSample(tick int) {
 	counts := make([]float64, 0, len(s.order))
 	for _, sid := range s.order {
 		n := s.nodes[sid]
-		if !n.core.Active() {
+		if !n.Core.Active() {
 			continue
 		}
 		active++
-		c := float64(n.gs.ClientCount())
+		c := float64(n.Game.ClientCount())
 		counts = append(counts, c)
 		total += c
 		if c > maxClients {
@@ -48,8 +49,8 @@ func (s *Sim) recordSample(tick int) {
 			depth = d
 		}
 		s.rec.Set(fmt.Sprintf("clients/%v", sid), c)
-		s.rec.Set(fmt.Sprintf("queue/%v", sid), float64(n.gs.QueueLen()))
-		s.rec.Set(fmt.Sprintf("objects/%v", sid), float64(n.gs.ObjectCount()))
+		s.rec.Set(fmt.Sprintf("queue/%v", sid), float64(n.Game.QueueLen()))
+		s.rec.Set(fmt.Sprintf("objects/%v", sid), float64(n.Game.ObjectCount()))
 	}
 	s.rec.Set("servers/active", float64(active))
 	s.rec.Set("servers/spare", float64(s.mc.SpareCount()))
@@ -58,7 +59,7 @@ func (s *Sim) recordSample(tick int) {
 
 	var drops, delivered uint64
 	for _, sid := range s.order {
-		st := s.nodes[sid].gs.Stats()
+		st := s.nodes[sid].Game.Stats()
 		drops += st.Dropped
 		delivered += st.Delivered
 	}
@@ -105,7 +106,7 @@ func (s *Sim) recordSample(tick int) {
 func (s *Sim) treeDepth(sid id.ServerID) int {
 	d := 0
 	for at := sid; ; {
-		p := s.nodes[at].core.Parent()
+		p := s.nodes[at].Core.Parent()
 		if !p.Valid() {
 			return d
 		}
@@ -130,7 +131,7 @@ func (s *Sim) auditSplit(req *protocol.SplitRequest, rep *protocol.SplitReply) {
 		d.Child = int64(rep.Child)
 	}
 	if n, ok := s.nodes[req.Server]; ok {
-		tr := n.core.Tracker()
+		tr := n.Core.Tracker()
 		d.Policy = tr.Policy()
 		// Request and reply complete within one tick (request emitted in
 		// phase A, reply routed in the same phase B), so the verdict the
@@ -168,7 +169,7 @@ func (s *Sim) auditReclaim(req *protocol.ReclaimRequest, rep *protocol.ReclaimRe
 		Corr: corr, Reason: rep.Reason,
 	}
 	if n, ok := s.nodes[req.Parent]; ok {
-		tr := n.core.Tracker()
+		tr := n.Core.Tracker()
 		d.Policy = tr.Policy()
 		// As with splits, the round trip completes within one tick and the
 		// parent forgets the child only when the reply lands, so the cached
@@ -205,7 +206,7 @@ func (s *Sim) auditReclaim(req *protocol.ReclaimRequest, rep *protocol.ReclaimRe
 // auditRestart records one state-losing crash recovery: the checkpoint age
 // it restored from (-1 for a cold restart) and the client count the rolled-
 // back state resurrected. Called after the restore, before resync.
-func (s *Sim) auditRestart(sid id.ServerID, n *node) {
+func (s *Sim) auditRestart(sid id.ServerID, n *node.Node) {
 	if s.rec == nil {
 		return
 	}
@@ -218,7 +219,7 @@ func (s *Sim) auditRestart(sid id.ServerID, n *node) {
 		Granted: true, Server: int64(sid),
 		Inputs: []flight.KV{
 			{Key: "checkpoint-age-s", Val: age},
-			{Key: "clients", Val: float64(n.gs.ClientCount())},
+			{Key: "clients", Val: float64(n.Game.ClientCount())},
 		},
 	})
 }

@@ -33,9 +33,9 @@ import (
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
 	"matrix/internal/netem"
+	"matrix/internal/node"
 	"matrix/internal/policy"
 	"matrix/internal/protocol"
-	"matrix/internal/scratch"
 	"matrix/internal/trace"
 )
 
@@ -272,12 +272,6 @@ type Result struct {
 	AdmissionShed uint64
 }
 
-// node is one server slot: a Matrix server and its co-located game server.
-type node struct {
-	core *core.Server
-	gs   *gameserver.Server
-}
-
 // nodeCheckpoint is one server's periodic full-state capture, the restore
 // point for state-losing crash recovery.
 type nodeCheckpoint struct {
@@ -304,7 +298,7 @@ type Sim struct {
 	cfg     Config
 	clk     *clock.Virtual
 	mc      *coordinator.Coordinator
-	nodes   map[id.ServerID]*node
+	nodes   map[id.ServerID]*node.Node
 	order   []id.ServerID // deterministic iteration order
 	clients map[id.ClientID]*simClient
 	gen     id.Generator
@@ -360,12 +354,10 @@ type Sim struct {
 	scScratch []*simClient
 
 	// Tick-engine state (see engine.go): outs holds each server's buffered
-	// phase-A fallout (indexed by position in order), gsBufs the per-worker
-	// game-server envelope buffers, live the positions processing this
-	// tick.
-	outs   []serverOut
-	gsBufs scratch.Pool[gameserver.Envelope]
-	live   []int
+	// phase-A fallout (indexed by position in order), live the positions
+	// processing this tick.
+	outs []serverOut
+	live []int
 
 	// Middleware admission state (nil when Config.Middleware is disabled):
 	// one rate limiter per server, its per-client token buckets advanced on
@@ -373,11 +365,6 @@ type Sim struct {
 	// pumpNetem delivery and phase-B routing — never inside phase A, so the
 	// decisions are identical for any SimWorkers value.
 	mwLim map[id.ServerID]*middleware.RateLimiter
-
-	// compatAlloc forces the legacy allocating APIs (Process /
-	// HandleGameUpdate) instead of the buffer-reusing append APIs. Tests
-	// set it to prove both paths produce byte-identical fingerprints.
-	compatAlloc bool
 
 	// Tracing state (see trace.go; nil tr = tracing off, the default).
 	// trTickBase/trAnchor anchor the virtual-first trace clock at the
@@ -405,7 +392,7 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:         cfg,
 		clk:         clock.NewVirtual(time.Unix(0, 0)),
-		nodes:       make(map[id.ServerID]*node),
+		nodes:       make(map[id.ServerID]*node.Node),
 		clients:     make(map[id.ClientID]*simClient),
 		reg:         metrics.NewRegistry(),
 		lat:         &metrics.Histogram{},
@@ -451,35 +438,32 @@ func (s *Sim) registerServer() error {
 	if err != nil {
 		return err
 	}
-	pol, err := policy.New(s.cfg.Policy)
-	if err != nil {
+	if _, err := s.addNode(reply); err != nil {
 		return err
 	}
-	cs, err := core.NewServer(core.Config{
-		Load:   s.cfg.LoadPolicy,
-		Clock:  s.clk,
-		Policy: pol,
-	}, reply, s.cfg.Profile.Radius)
-	if err != nil {
-		return err
-	}
-	gs, err := gameserver.New(gameserver.Config{
-		Server:   reply.Server,
-		Bounds:   reply.Bounds,
-		Radius:   s.cfg.Profile.Radius,
-		MaxQueue: s.cfg.MaxQueue,
-		// Boundary handoffs resolve against the co-located Matrix server.
-		ResolveOwner: cs.ResolveOwner,
-	})
-	if err != nil {
-		return err
-	}
-	s.nodes[reply.Server] = &node{core: cs, gs: gs}
-	s.order = append(s.order, reply.Server)
 	for _, e := range envs {
 		s.deliverToCore(e.To, id.None, e.Msg)
 	}
 	return nil
+}
+
+// addNode builds the node for a registration reply and appends it to the
+// canonical server order. Registration and snapshot restore share it.
+func (s *Sim) addNode(reply *protocol.RegisterReply) (*node.Node, error) {
+	n, err := node.New(reply, node.Config{
+		Radius:   s.cfg.Profile.Radius,
+		Load:     s.cfg.LoadPolicy,
+		Policy:   s.cfg.Policy,
+		Clock:    s.clk,
+		MaxQueue: s.cfg.MaxQueue,
+	})
+	if err != nil {
+		return nil, err
+	}
+	n.Tracer, n.TracePid = s.tr, tracePidServer(reply.Server)
+	s.nodes[reply.Server] = n
+	s.order = append(s.order, reply.Server)
+	return n, nil
 }
 
 // limiterFor returns (lazily creating) server sid's rate limiter. Only
@@ -513,7 +497,7 @@ func (s *Sim) admitIngress(sid id.ServerID, fromClient bool, m protocol.Message)
 		}
 	}
 	if mw.ShedQueue > 0 && middleware.Sheddable(m) {
-		if n, ok := s.nodes[sid]; ok && n.gs.QueueLen() >= mw.ShedQueue {
+		if n, ok := s.nodes[sid]; ok && n.Game.QueueLen() >= mw.ShedQueue {
 			s.res.AdmissionShed++
 			return false
 		}
@@ -533,10 +517,10 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 	if s.tr != nil {
 		if fwd, isFwd := m.(*protocol.Forward); isFwd {
 			s.tr.AsyncStep(tracePidServer(to), "packet", "peer-handle",
-				packetSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
+				node.PacketSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now())
 		}
 	}
-	envs, err := n.core.HandleMessage(from, m)
+	envs, err := n.Core.HandleMessage(from, m)
 	if err != nil {
 		// Inactive servers legitimately reject packets that were in
 		// flight across a topology change; everything else is counted
@@ -547,7 +531,8 @@ func (s *Sim) deliverToCore(to id.ServerID, from id.ServerID, m protocol.Message
 	s.routeCoreEnvelopes(to, envs)
 }
 
-// routeCoreEnvelopes dispatches a Matrix server's outbox.
+// routeCoreEnvelopes dispatches a node's outbox: Matrix-server envelopes
+// plus, from a node step, the game server's client deliveries.
 func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 	for _, e := range envs {
 		switch e.Dest {
@@ -568,14 +553,19 @@ func (s *Sim) routeCoreEnvelopes(from id.ServerID, envs []core.Envelope) {
 				continue
 			}
 			// Overflow drops are counted by the game server itself.
-			_ = s.nodes[from].gs.Enqueue(e.Msg)
+			_ = s.nodes[from].Game.Enqueue(e.Msg)
+		case core.DestClient:
+			if s.nm != nil && s.impair(netem.ServerEndpoint(from), netem.ClientEndpoint(e.Client), netemToClient, e.Msg) {
+				continue
+			}
+			s.deliverToClient(e.Client, e.Msg)
 		case core.DestPeer:
 			if s.tr != nil {
 				// A forward crossing the server boundary: the cross-server
 				// hop in the packet's span.
 				if fwd, isFwd := e.Msg.(*protocol.Forward); isFwd {
 					s.tr.AsyncStepArg(tracePidServer(from), "packet", "peer-forward",
-						packetSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now(),
+						node.PacketSpanID(fwd.Update.Client, fwd.Update.Seq), s.tr.Now(),
 						"peer", int64(e.Peer))
 				}
 			}
@@ -620,12 +610,7 @@ func (s *Sim) noteTopology(req protocol.Message, envs []coordinator.Envelope) {
 				continue
 			}
 			if rep.Granted {
-				if debugTopology {
-					fmt.Printf("sim: t=%.1f reclaim parent=%v child=%v\n", s.now, rr.Parent, rr.Child)
-				}
 				s.events = append(s.events, TopologyEvent{Time: s.now, Kind: "reclaim", Server: rr.Child})
-			} else if debugTopology {
-				fmt.Printf("sim: t=%.1f reclaim denied parent=%v child=%v reason=%q\n", s.now, rr.Parent, rr.Child, rep.Reason)
 			}
 			if s.rec != nil {
 				s.auditReclaim(rr, rep, corr)
@@ -644,7 +629,7 @@ func (s *Sim) deliverToClient(cid id.ClientID, m protocol.Message) {
 		// The echo of the client's own update closes its packet span.
 		if u, isUpdate := m.(*protocol.GameUpdate); isUpdate && u.Client == cid {
 			s.tr.AsyncEnd(tracePidServer(sc.assigned), "packet", "packet",
-				packetSpanID(u.Client, u.Seq), s.tr.Now())
+				node.PacketSpanID(u.Client, u.Seq), s.tr.Now())
 		}
 	}
 	ev, err := sc.cl.Handle(m)
@@ -684,7 +669,7 @@ func (s *Sim) sendHello(sc *simClient) {
 	if s.nm != nil && s.impair(netem.ClientEndpoint(sc.cl.ID()), netem.ServerEndpoint(sc.assigned), netemToGS, m) {
 		return
 	}
-	_ = n.gs.Enqueue(m) // overflow counted by the game server
+	_ = n.Game.Enqueue(m) // overflow counted by the game server
 }
 
 // ownerOf finds the active server owning a point (the "lobby" lookup a
@@ -757,7 +742,7 @@ func (s *Sim) removeClients(tag string, count int) {
 		if n, ok := s.nodes[sc.assigned]; ok {
 			leave := sc.cl.MakeAction(protocol.KindDespawn, sc.cl.Pos())
 			if s.nm == nil || !s.impair(netem.ClientEndpoint(cid), netem.ServerEndpoint(sc.assigned), netemToGS, leave) {
-				_ = n.gs.Enqueue(leave) // overflow counted by the game server
+				_ = n.Game.Enqueue(leave) // overflow counted by the game server
 			}
 		}
 		count--
@@ -836,7 +821,7 @@ func (s *Sim) pumpNetem() {
 				if !s.admitIngress(e.to.Server, e.from.Client != 0, e.msg) {
 					continue
 				}
-				_ = n.gs.Enqueue(e.msg) // overflow counted by the game server
+				_ = n.Game.Enqueue(e.msg) // overflow counted by the game server
 			}
 		case netemToClient:
 			s.deliverToClient(e.to.Client, e.msg)
@@ -879,7 +864,7 @@ func (s *Sim) expireGhosts() {
 		found, cleared := false, true
 		for _, sid := range s.order {
 			n := s.nodes[sid]
-			if _, ok := n.gs.ClientPos(cid); !ok {
+			if _, ok := n.Game.ClientPos(cid); !ok {
 				continue
 			}
 			if live && sid == sc.assigned {
@@ -890,7 +875,7 @@ func (s *Sim) expireGhosts() {
 				cleared = false // frozen: evict after recovery (or rollback)
 				continue
 			}
-			n.gs.Evict(cid)
+			n.Game.Evict(cid)
 		}
 		if !found {
 			// Already gone everywhere (state transfer raced the expiry).
@@ -1208,12 +1193,12 @@ func (s *Sim) takeCheckpoints() {
 			continue
 		}
 		n := s.nodes[sid]
-		cs, err := n.core.CaptureState()
+		cs, err := n.Core.CaptureState()
 		if err != nil {
 			s.reg.Counter("errors/checkpoint").Inc()
 			continue
 		}
-		gs, err := n.gs.CaptureState()
+		gs, err := n.Game.CaptureState()
 		if err != nil {
 			s.reg.Counter("errors/checkpoint").Inc()
 			continue
@@ -1239,10 +1224,10 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	if chk := s.checkpoints[sid]; chk != nil {
 		chkCore, chkGame = chk.core, chk.game
 	}
-	if err := n.core.RestoreState(chkCore); err != nil {
+	if err := n.Core.RestoreState(chkCore); err != nil {
 		s.reg.Counter("errors/restart").Inc()
 	}
-	if err := n.gs.RestoreState(chkGame); err != nil {
+	if err := n.Game.RestoreState(chkGame); err != nil {
 		s.reg.Counter("errors/restart").Inc()
 	}
 	s.res.Restarts++
@@ -1255,7 +1240,7 @@ func (s *Sim) restartNode(sid id.ServerID) {
 	// is a stale duplicate). Both register as ghosts; the idle expiry
 	// culls every copy except a live client's current one.
 	if s.ghostAfter > 0 {
-		for _, cid := range n.gs.ClientIDs() {
+		for _, cid := range n.Game.ClientIDs() {
 			if sc, ok := s.clients[cid]; !ok || !sc.alive || sc.assigned != sid {
 				s.ghosts[cid] = s.now
 			}
@@ -1339,9 +1324,9 @@ func (s *Sim) generateTraffic(dt float64) {
 				// The packet span opens as the update enters its server's
 				// inbox and ends when its echo reaches the client.
 				s.tr.AsyncBegin(tracePidServer(sc.assigned), "packet", "packet",
-					packetSpanID(u.Client, u.Seq), s.tr.Now())
+					node.PacketSpanID(u.Client, u.Seq), s.tr.Now())
 			}
-			_ = n.gs.Enqueue(u) // overflow counted by the game server
+			_ = n.Game.Enqueue(u) // overflow counted by the game server
 		}
 	}
 }
@@ -1374,22 +1359,22 @@ func (s *Sim) sample() {
 	active := 0
 	for _, sid := range s.order {
 		n := s.nodes[sid]
-		if n.core.Active() {
+		if n.Core.Active() {
 			active++
-			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.gs.ClientCount()))
-			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.gs.QueueLen()))
-			s.res.ClientSeconds += float64(n.gs.ClientCount()) * s.cfg.SampleEverySeconds
+			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, float64(n.Game.ClientCount()))
+			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, float64(n.Game.QueueLen()))
+			s.res.ClientSeconds += float64(n.Game.ClientCount()) * s.cfg.SampleEverySeconds
 		} else if s.activePrev[sid] {
 			// One zero sample on deactivation closes the line.
 			s.reg.Series(fmt.Sprintf("clients/%v", sid)).Append(s.now, 0)
 			s.reg.Series(fmt.Sprintf("queue/%v", sid)).Append(s.now, 0)
 		}
-		s.activePrev[sid] = n.core.Active()
+		s.activePrev[sid] = n.Core.Active()
 	}
 	s.reg.Series("servers/active").Append(s.now, float64(active))
 	var drops uint64
 	for _, sid := range s.order {
-		drops += s.nodes[sid].gs.Stats().Dropped
+		drops += s.nodes[sid].Game.Stats().Dropped
 	}
 	s.reg.Series("drops/total").Append(s.now, float64(drops))
 	if active > s.res.PeakServers {
@@ -1407,14 +1392,14 @@ func (s *Sim) finish() *Result {
 	res.Events = s.events
 	for _, sid := range s.order {
 		n := s.nodes[sid]
-		st := n.core.Stats()
+		st := n.Core.Stats()
 		res.ForwardedBytes += st.PeerBytesOut
 		res.ForwardedPackets += st.PeerPacketsOut
-		res.OverlapAreaLast += n.core.OverlapArea()
-		gst := n.gs.Stats()
+		res.OverlapAreaLast += n.Core.OverlapArea()
+		gst := n.Game.Stats()
 		res.DeliveredUpdates += gst.Delivered
 		res.DroppedPackets += gst.Dropped
-		if n.core.Active() {
+		if n.Core.Active() {
 			res.FinalServers++
 		}
 	}
@@ -1449,11 +1434,5 @@ func (s *Sim) Node(sid id.ServerID) (*core.Server, *gameserver.Server, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return n.core, n.gs, true
+	return n.Core, n.Game, true
 }
-
-// debugTopology enables split/reclaim tracing in experiments (tests only).
-var debugTopology = false
-
-// DebugTopology toggles split/reclaim tracing to stdout.
-func DebugTopology(on bool) { debugTopology = on }

@@ -29,6 +29,7 @@ import (
 	"matrix/internal/metrics"
 	"matrix/internal/middleware"
 	"matrix/internal/netem"
+	"matrix/internal/node"
 	"matrix/internal/policy"
 	"matrix/internal/protocol"
 )
@@ -193,11 +194,11 @@ func (s *Sim) CaptureState() (*State, error) {
 
 	for _, sid := range s.order {
 		n := s.nodes[sid]
-		cs, err := n.core.CaptureState()
+		cs, err := n.Core.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v core: %w", sid, err)
 		}
-		gs, err := n.gs.CaptureState()
+		gs, err := n.Game.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("sim: capture %v game server: %w", sid, err)
 		}
@@ -354,7 +355,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 	s := &Sim{
 		cfg:         cfg,
 		clk:         clock.NewVirtual(time.Unix(0, 0)),
-		nodes:       make(map[id.ServerID]*node),
+		nodes:       make(map[id.ServerID]*node.Node),
 		clients:     make(map[id.ClientID]*simClient),
 		reg:         metrics.NewRegistryFromState(st.Registry),
 		lat:         metrics.NewHistogramFromSamples(st.Latency),
@@ -411,12 +412,7 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 		if ns.Core == nil || ns.Game == nil {
 			return nil, fmt.Errorf("sim: node %v state incomplete", ns.Server)
 		}
-		reply := &protocol.RegisterReply{Server: ns.Server, Bounds: ns.Core.Bounds, World: cfg.World}
-		pol, err := policy.New(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := core.NewServer(core.Config{Load: cfg.LoadPolicy, Clock: s.clk, Policy: pol}, reply, cfg.Profile.Radius)
+		n, err := s.addNode(&protocol.RegisterReply{Server: ns.Server, Bounds: ns.Core.Bounds, World: cfg.World})
 		if err != nil {
 			return nil, err
 		}
@@ -426,24 +422,12 @@ func RestoreWith(st *State, opts RestoreOptions) (*Sim, error) {
 			cp.PolicyState = nil
 			coreState = &cp
 		}
-		if err := cs.RestoreState(coreState); err != nil {
+		if err := n.Core.RestoreState(coreState); err != nil {
 			return nil, fmt.Errorf("sim: restore %v core: %w", ns.Server, err)
 		}
-		gs, err := gameserver.New(gameserver.Config{
-			Server:       ns.Server,
-			Bounds:       ns.Game.Bounds,
-			Radius:       cfg.Profile.Radius,
-			MaxQueue:     cfg.MaxQueue,
-			ResolveOwner: cs.ResolveOwner,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := gs.RestoreState(ns.Game); err != nil {
+		if err := n.Game.RestoreState(ns.Game); err != nil {
 			return nil, fmt.Errorf("sim: restore %v game server: %w", ns.Server, err)
 		}
-		s.nodes[ns.Server] = &node{core: cs, gs: gs}
-		s.order = append(s.order, ns.Server)
 		if s.mwLim != nil && len(ns.Limiter) > 0 {
 			s.limiterFor(ns.Server).SetState(ns.Limiter)
 		}

@@ -81,12 +81,6 @@ func (g *Grid[K]) removeFromCell(k K, c [2]int32) {
 	}
 }
 
-// Position returns the stored position of k.
-func (g *Grid[K]) Position(k K) (geom.Point, bool) {
-	p, ok := g.pos[k]
-	return p, ok
-}
-
 // QueryCircle appends to dst every entity within dist of center (Euclidean,
 // inclusive) and returns the extended slice. Pass a reused dst to avoid
 // allocation on hot paths.
@@ -106,29 +100,6 @@ func (g *Grid[K]) QueryCircle(center geom.Point, dist float64, dst []K) []K {
 			for k, p := range m {
 				dx, dy := p.X-center.X, p.Y-center.Y
 				if dx*dx+dy*dy <= d2 {
-					dst = append(dst, k)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// QueryRect appends every entity inside r (half-open) to dst.
-func (g *Grid[K]) QueryRect(r geom.Rect, dst []K) []K {
-	if r.Empty() {
-		return dst
-	}
-	minC := g.cellOf(geom.Pt(r.MinX, r.MinY))
-	maxC := g.cellOf(geom.Pt(r.MaxX, r.MaxY))
-	for cx := minC[0]; cx <= maxC[0]; cx++ {
-		for cy := minC[1]; cy <= maxC[1]; cy++ {
-			m, ok := g.cells[[2]int32{cx, cy}]
-			if !ok {
-				continue
-			}
-			for k, p := range m {
-				if r.Contains(p) {
 					dst = append(dst, k)
 				}
 			}

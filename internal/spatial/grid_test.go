@@ -50,9 +50,8 @@ func TestMoveAcrossCells(t *testing.T) {
 	if got := g.QueryCircle(geom.Pt(95, 95), 1, nil); len(got) != 1 {
 		t.Fatalf("new cell empty: %v", got)
 	}
-	p, ok := g.Position(1)
-	if !ok || p != geom.Pt(95, 95) {
-		t.Fatalf("Position = %v,%v", p, ok)
+	if got := g.QueryCircle(geom.Pt(95, 95), 0, nil); len(got) != 1 {
+		t.Fatalf("entity not at its new position: %v", got)
 	}
 }
 
@@ -63,8 +62,8 @@ func TestMoveWithinCell(t *testing.T) {
 	if got := g.QueryCircle(geom.Pt(6, 6), 0.5, nil); len(got) != 1 {
 		t.Fatalf("in-cell move lost: %v", got)
 	}
-	if p, _ := g.Position(1); p != geom.Pt(6, 6) {
-		t.Fatalf("Position = %v", p)
+	if got := g.QueryCircle(geom.Pt(6, 6), 0, nil); len(got) != 1 {
+		t.Fatalf("entity not at its new position: %v", got)
 	}
 }
 
@@ -76,30 +75,27 @@ func TestRemove(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if _, ok := g.Position(1); ok {
-		t.Fatal("removed entity still has position")
+	if got := g.QueryOutsideRect(geom.Rect{}, nil); len(got) != 0 {
+		t.Fatalf("removed entity still indexed: %v", got)
 	}
 	if got := g.QueryCircle(geom.Pt(5, 5), 10, nil); len(got) != 0 {
 		t.Fatalf("removed entity still found: %v", got)
 	}
 }
 
-func TestQueryRect(t *testing.T) {
+func TestQueryOutsideRect(t *testing.T) {
 	g := NewGrid[int](10)
 	g.Insert(1, geom.Pt(5, 5))
 	g.Insert(2, geom.Pt(15, 5))
-	g.Insert(3, geom.Pt(10, 5)) // on boundary: half-open => belongs to [10,20)
+	g.Insert(3, geom.Pt(10, 5)) // on boundary: half-open => outside [0,10)
 	r := geom.R(0, 0, 10, 10)
-	got := sorted(g.QueryRect(r, nil))
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("QueryRect = %v", got)
-	}
 	out := sorted(g.QueryOutsideRect(r, nil))
 	if len(out) != 2 || out[0] != 2 || out[1] != 3 {
 		t.Fatalf("QueryOutsideRect = %v", out)
 	}
-	if got := g.QueryRect(geom.Rect{}, nil); len(got) != 0 {
-		t.Fatalf("empty rect query = %v", got)
+	// An empty range (a deactivated server) puts everyone outside.
+	if all := sorted(g.QueryOutsideRect(geom.Rect{}, nil)); len(all) != 3 {
+		t.Fatalf("empty rect query = %v", all)
 	}
 }
 
